@@ -481,12 +481,12 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		// interface conversion for func types), replacing the per-spawn
 		// wrapper closure the facade used to allocate.
 		Invoke: func(nc *native.Ctx, p any) {
-			p.(func(*Ctx))(&Ctx{nc: nc, rt: rt})
+			p.(func(*Ctx))(rt.nativeCtx(nc))
 		},
 		// InvokeN is Invoke for SpawnN batches: the shared payload is the
 		// user's fn(ctx, i) func value, applied to the member index.
 		InvokeN: func(nc *native.Ctx, p any, i int) {
-			p.(func(*Ctx, int))(&Ctx{nc: nc, rt: rt}, i)
+			p.(func(*Ctx, int))(rt.nativeCtx(nc), i)
 		},
 		MutexQueue:    c.Sched.MutexQueue,
 		TraceCapacity: c.TraceCapacity,
@@ -504,6 +504,19 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	}
 	rt.nat = nat
 	return rt, nil
+}
+
+// nativeCtx returns the facade context for the native task context nc.
+// nc is embedded in a pooled task record, so the facade context is
+// built on the record's first task only and found in its facade slot
+// on every later one: running a task allocates nothing.
+func (rt *Runtime) nativeCtx(nc *native.Ctx) *Ctx {
+	if c, ok := nc.Facade().(*Ctx); ok {
+		return c
+	}
+	c := &Ctx{nc: nc, rt: rt}
+	nc.SetFacade(c)
+	return c
 }
 
 // Backend returns the execution engine this runtime uses.

@@ -83,16 +83,19 @@ func (c *Ctx) Access(addr, size int64, write bool) {
 }
 
 // spawnOptions accumulates the affinity specification of one spawn.
-// objs aliases objsBuf until a spawn names more than two objects, so the
-// common one-object case costs no heap allocation on the spawn path.
+// The first OBJECT operand is stored inline and objs is allocated only
+// when a spawn names a second one. The value must never point into
+// itself: a self-referencing slice would make the compiler move every
+// spawn's options to the heap.
 type spawnOptions struct {
 	aff      core.Affinity
 	mutex    *Monitor
-	prio     int8       // priority class [0,7] (WithPriority)
-	prioSet  bool       // an explicit WithPriority beats the job default
-	deadline int64      // absolute deadline (WithDeadline), 0 = none
-	objs     []sizedObj // OBJECT affinity operands (one or several)
-	objsBuf  [2]sizedObj
+	prio     int8     // priority class [0,7] (WithPriority)
+	prioSet  bool     // an explicit WithPriority beats the job default
+	deadline int64    // absolute deadline (WithDeadline), 0 = none
+	obj      sizedObj // the first OBJECT operand, valid when hasObj
+	hasObj   bool
+	objs     []sizedObj // every OBJECT operand; nil unless there are several
 }
 
 // sizedObj is one OBJECT affinity operand with an optional size used to
@@ -146,10 +149,15 @@ func (op SpawnOpt) apply(o *spawnOptions) {
 			o.aff.Kind = core.AffTaskObject
 		}
 	case optObjectSized:
-		if o.objs == nil {
-			o.objs = o.objsBuf[:0]
+		ob := sizedObj{addr: op.addr, size: op.size}
+		switch {
+		case o.objs != nil:
+			o.objs = append(o.objs, ob)
+		case o.hasObj:
+			o.objs = []sizedObj{o.obj, ob}
+		default:
+			o.obj, o.hasObj = ob, true
 		}
-		o.objs = append(o.objs, sizedObj{addr: op.addr, size: op.size})
 		o.aff.ObjectObj = op.addr
 		switch o.aff.Kind {
 		case core.AffNone, core.AffSimple:

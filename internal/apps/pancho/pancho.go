@@ -372,12 +372,20 @@ func RunOnPrep(rt *cool.Runtime, v Variant, prm Params, prep *Prep) (Result, err
 
 func runPrepared(rt *cool.Runtime, distribute bool, prep *Prep) (Result, error) {
 	ap := buildPrep(rt, prep, distribute)
+	// The root panels are fixed before the first spawn: once a
+	// completion runs, its update tasks decrement remaining concurrently
+	// (on the native backend), and a panel they bring to zero is
+	// theirs to complete, not the root's.
+	var roots []int
+	for _, p := range ap.ps.Panels {
+		if ap.remaining[p.ID] == 0 {
+			roots = append(roots, p.ID)
+		}
+	}
 	err := rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
-			for _, p := range ap.ps.Panels {
-				if ap.remaining[p.ID] == 0 {
-					ap.spawnComplete(ctx, p.ID)
-				}
+			for _, d := range roots {
+				ap.spawnComplete(ctx, d)
 			}
 		})
 	})

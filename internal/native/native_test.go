@@ -436,9 +436,11 @@ func TestCondSignalBroadcast(t *testing.T) {
 	c := &Ctx{w: rt.workers[0], rt: rt}
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
+		// One worker per waiter: a worker's counter row has one writer.
+		w := rt.workers[1+i]
 		go func() {
 			defer wg.Done()
-			cc := &Ctx{w: rt.workers[1], rt: rt}
+			cc := &Ctx{w: w, rt: rt}
 			cc.Lock(m)
 			for stage == 0 {
 				cc.Wait(cv, m)

@@ -123,5 +123,12 @@ func retireStress(t *testing.T, mode func(*Config)) {
 			}
 		}
 		assertWorkerQueuesEmpty(t, rt, fmt.Sprintf("seed %d", seed))
+		// Leaves spawned by retired workers finished elsewhere; their
+		// records must have been swept off the dead return stacks.
+		for v := range victims {
+			if !rt.workers[v].ret.empty() {
+				t.Fatalf("seed %d: task records stranded on retired worker %d", seed, v)
+			}
+		}
 	}
 }
