@@ -129,3 +129,51 @@ func TestNativeRecordsReturnToSpawner(t *testing.T) {
 		}
 	}
 }
+
+// TestNativeMultiObjectSpawnAllocationFree spawns tasks naming two
+// sized OBJECT operands homed on different processors: placing each
+// one resolves both homes and weighs their bytes (§4.1), which must
+// allocate nothing.
+func TestNativeMultiObjectSpawnAllocationFree(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: procs, Backend: cool.BackendNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bursts, width = 40, 200
+		small := rt.NewObjPages(64, 0)
+		big := make([]cool.Obj, 8)
+		for i := range big {
+			big[i] = rt.NewObjPages(4096, i%procs+1)
+		}
+		var sink atomic.Int64
+		task := func(*cool.Ctx) { sink.Add(1) }
+		job := func(ctx *cool.Ctx) {
+			for b := 0; b < bursts; b++ {
+				ctx.WaitFor(func() {
+					for i := 0; i < width; i++ {
+						o := big[i%len(big)]
+						ctx.Spawn("pair", task,
+							cool.ObjectAffinitySized(small.Base, small.Size),
+							cool.ObjectAffinitySized(o.Base, o.Size))
+					}
+				})
+			}
+		}
+		for run := 0; run < 3; run++ {
+			if run > 0 {
+				if err := rt.Reset(); err != nil {
+					t.Fatalf("P=%d Reset: %v", procs, err)
+				}
+				small = rt.NewObjPages(64, 0)
+				for i := range big {
+					big[i] = rt.NewObjPages(4096, i%procs+1)
+				}
+			}
+			got := allocsPerTask(t, rt, job)
+			if run > 0 && got >= maxAllocsPerTask {
+				t.Errorf("P=%d run %d: %.4f heap allocations per task, want < %v", procs, run, got, maxAllocsPerTask)
+			}
+		}
+	}
+}

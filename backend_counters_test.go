@@ -1,6 +1,7 @@
 package cool_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,30 +256,41 @@ func TestFaultCountersThroughReportNative(t *testing.T) {
 }
 
 // TestRedistributedCounterThroughReportNative retires a worker whose
-// queue is provably deep — every task is pinned to it and each body far
-// outlasts the spawn loop — so the retirement drain itself must move
-// work and count it on the victim's row. (The plan-consistency test
-// above can legitimately see Redistributed == 0: tasks spawned after
-// the dead bit lands are rerouted at insert time, which is placement,
-// not redistribution.)
+// queue is deep by construction, so the retirement drain itself must
+// move work and count it on the victim's row. (The plan-consistency
+// test above can legitimately see Redistributed == 0: tasks spawned
+// after the dead bit lands are rerouted at insert time, which is
+// placement, not redistribution.) Every task is pinned to the victim,
+// stealing is off so no thief empties its queue first, and the first
+// task holds the victim until every task is queued behind it and the
+// failure time has passed: the fault fires at the victim's next
+// dispatch, with the other tasks still queued.
 func TestRedistributedCounterThroughReportNative(t *testing.T) {
 	const tasks = 80
+	const failAt = 1_000_000 // ns
 	rt, err := cool.NewRuntime(cool.Config{
 		Processors: 4,
 		Backend:    cool.BackendNative,
-		Faults:     cool.NewFaultPlan().FailProcessor(3, 1_000_000),
+		Sched:      cool.SchedPolicy{NoStealing: true},
+		Faults:     cool.NewFaultPlan().FailProcessor(3, failAt),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var spawned atomic.Int64
+	var held atomic.Bool
 	err = rt.Run(func(ctx *cool.Ctx) {
 		ctx.WaitFor(func() {
 			for i := 0; i < tasks; i++ {
-				ctx.Spawn("pinned", func(*cool.Ctx) {
-					// 80 x 200µs serialized on one worker ≫ the 1ms
-					// failure time: the queue cannot drain first.
-					time.Sleep(200 * time.Microsecond)
+				ctx.Spawn("pinned", func(c *cool.Ctx) {
+					if !held.CompareAndSwap(false, true) {
+						return
+					}
+					for spawned.Load() < tasks || c.Now() <= failAt {
+						time.Sleep(50 * time.Microsecond)
+					}
 				}, cool.OnProcessor(3))
+				spawned.Add(1)
 			}
 		})
 	})

@@ -38,8 +38,8 @@ type elasticRep struct {
 	TasksRun    int64   `json:"tasks_run"`
 	Adds        int     `json:"adds"`
 	Drains      int     `json:"drains"`
-	Rehomed     int     `json:"rehomed"`       // tasks moved off retiring workers
-	DrainLatNS  []int64 `json:"drain_lat_ns"`  // per-drain request-to-completion latency
+	Rehomed     int     `json:"rehomed"`         // tasks moved off retiring workers
+	DrainLatNS  []int64 `json:"drain_lat_ns"`    // per-drain request-to-completion latency
 	GrowToFulNS int64   `json:"grow_to_full_ns"` // AddWorkers call to full pool size
 }
 

@@ -205,11 +205,14 @@ type Runtime struct {
 	ran      bool
 	tdFree   []*core.TaskDesc // recycled task descriptors (see ctx.go)
 
-	// spaceMu guards space on the native backend, where allocation,
-	// migration, and home lookups run concurrently. The simulator is
-	// single-threaded and never contends, but locking is cheap relative
-	// to allocation so it is taken unconditionally.
-	spaceMu sync.RWMutex
+	// spaceMu serialises writers of space (allocation, migration,
+	// Reset). The simulator is single-threaded and never contends, but
+	// locking is cheap relative to allocation so it is taken
+	// unconditionally. Native home lookups take no lock: they read
+	// homes, the space's lock-free view, which every writer updates
+	// before releasing spaceMu (DESIGN.md §10).
+	spaceMu sync.Mutex
+	homes   *memsim.Homes // native backend only
 
 	// Job-level SLO defaults (SetJobSLO): the priority class and absolute
 	// deadline applied to spawns that carry no WithPriority/WithDeadline
@@ -464,18 +467,15 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 	}
 	rt := &Runtime{cfg: mc, pub: c, pol: pol, backend: BackendNative}
 	rt.space = memsim.New(mc)
+	rt.homes = rt.space.Publish()
 	rt.mon = perfmon.New(np)
 	nat, err := native.New(native.Config{
 		Procs:       mc.Processors,
 		ClusterSize: mc.ClusterSize,
 		PageSize:    int64(mc.PageSize),
 		Pol:         pol,
-		Home: func(addr int64) int {
-			rt.spaceMu.RLock()
-			defer rt.spaceMu.RUnlock()
-			return rt.space.HomeProc(addr)
-		},
-		Mon: rt.mon,
+		Home:        rt.homes.HomeProc,
+		Mon:         rt.mon,
 		// One adapter shared by every spawn: the user's func value rides
 		// through the task record as the payload (an allocation-free
 		// interface conversion for func types), replacing the per-spawn

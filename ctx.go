@@ -82,20 +82,32 @@ func (c *Ctx) Access(addr, size int64, write bool) {
 	c.sc.Charge(cyc)
 }
 
+// inlineObjs is how many OBJECT operands a spawn stores without a heap
+// allocation.
+const inlineObjs = 4
+
 // spawnOptions accumulates the affinity specification of one spawn.
-// The first OBJECT operand is stored inline and objs is allocated only
-// when a spawn names a second one. The value must never point into
-// itself: a self-referencing slice would make the compiler move every
-// spawn's options to the heap.
+// The first inlineObjs OBJECT operands are stored inline; a spawn naming
+// more moves them all to the heap slice many. The value must never point
+// into itself: a self-referencing slice would make the compiler move
+// every spawn's options to the heap.
 type spawnOptions struct {
 	aff      core.Affinity
 	mutex    *Monitor
-	prio     int8     // priority class [0,7] (WithPriority)
-	prioSet  bool     // an explicit WithPriority beats the job default
-	deadline int64    // absolute deadline (WithDeadline), 0 = none
-	obj      sizedObj // the first OBJECT operand, valid when hasObj
-	hasObj   bool
-	objs     []sizedObj // every OBJECT operand; nil unless there are several
+	prio     int8  // priority class [0,7] (WithPriority)
+	prioSet  bool  // an explicit WithPriority beats the job default
+	deadline int64 // absolute deadline (WithDeadline), 0 = none
+	objs     [inlineObjs]sizedObj
+	nObjs    int
+	many     []sizedObj // every OBJECT operand once there are more than inlineObjs
+}
+
+// objList returns every OBJECT operand in declaration order.
+func (o *spawnOptions) objList() []sizedObj {
+	if o.many != nil {
+		return o.many
+	}
+	return o.objs[:o.nObjs]
 }
 
 // sizedObj is one OBJECT affinity operand with an optional size used to
@@ -151,12 +163,15 @@ func (op SpawnOpt) apply(o *spawnOptions) {
 	case optObjectSized:
 		ob := sizedObj{addr: op.addr, size: op.size}
 		switch {
-		case o.objs != nil:
-			o.objs = append(o.objs, ob)
-		case o.hasObj:
-			o.objs = []sizedObj{o.obj, ob}
+		case o.many != nil:
+			o.many = append(o.many, ob)
+		case o.nObjs == inlineObjs:
+			o.many = make([]sizedObj, inlineObjs, 2*inlineObjs)
+			copy(o.many, o.objs[:])
+			o.many = append(o.many, ob)
 		default:
-			o.obj, o.hasObj = ob, true
+			o.objs[o.nObjs] = ob
+			o.nObjs++
 		}
 		o.aff.ObjectObj = op.addr
 		switch o.aff.Kind {
@@ -268,10 +283,10 @@ func (c *Ctx) Spawn(name string, fn func(*Ctx), opts ...SpawnOpt) {
 	// Multiple OBJECT operands: place at the server homing the most
 	// bytes; the rest are prefetched when the task starts (§4.1).
 	var prefetch []sizedObj
-	if len(o.objs) > 1 {
-		best := pickHome(rt, o.objs)
-		o.aff.ObjectObj = o.objs[best].addr
-		for i, ob := range o.objs {
+	if objs := o.objList(); len(objs) > 1 {
+		best := pickHome(rt, objs)
+		o.aff.ObjectObj = objs[best].addr
+		for i, ob := range objs {
 			if i != best {
 				prefetch = append(prefetch, ob)
 			}
@@ -377,8 +392,8 @@ func (c *Ctx) spawnNNative(name string, n int, fn func(*Ctx, int), opts func(i i
 				opt.apply(&o)
 			}
 		}
-		if len(o.objs) > 1 {
-			o.aff.ObjectObj = o.objs[pickHome(rt, o.objs)].addr
+		if objs := o.objList(); len(objs) > 1 {
+			o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 		}
 		rt.applyJobSLO(&o)
 		var nm *native.Monitor
@@ -400,8 +415,8 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 		opt.apply(&o)
 	}
 	rt := c.rt
-	if len(o.objs) > 1 {
-		o.aff.ObjectObj = o.objs[pickHome(rt, o.objs)].addr
+	if objs := o.objList(); len(objs) > 1 {
+		o.aff.ObjectObj = objs[pickHome(rt, objs)].addr
 	}
 	rt.applyJobSLO(&o)
 	var nm *native.Monitor
@@ -414,10 +429,8 @@ func (c *Ctx) spawnNative(name string, fn func(*Ctx), opts []SpawnOpt) {
 // homeServer returns the server treated as the home processor of the
 // object at addr, on either backend.
 func (rt *Runtime) homeServer(addr int64) int {
-	if rt.backend == BackendNative {
-		rt.spaceMu.RLock()
-		defer rt.spaceMu.RUnlock()
-		return rt.space.HomeProc(addr)
+	if rt.homes != nil {
+		return rt.homes.HomeProc(addr)
 	}
 	return rt.sched.HomeServer(addr)
 }
@@ -446,20 +459,25 @@ func (rt *Runtime) freeTaskDesc(td *core.TaskDesc) {
 
 // pickHome returns the index of the object whose home server holds the
 // most affinity-weighted bytes.
+// Each home is looked up once; the bytes per home are summed by a scan
+// over the operands (a spawn names a handful), so nothing is allocated.
+// Ties go to the earliest operand.
 func pickHome(rt *Runtime, objs []sizedObj) int {
-	bytesAt := map[int]int64{}
+	var buf [inlineObjs]int
+	homes := buf[:0]
 	for _, ob := range objs {
-		w := ob.size
-		if w <= 0 {
-			w = 1
-		}
-		bytesAt[rt.homeServer(ob.addr)] += w
+		homes = append(homes, rt.homeServer(ob.addr))
 	}
 	best, bestBytes := 0, int64(-1)
-	for i, ob := range objs {
-		sv := rt.homeServer(ob.addr)
-		if bytesAt[sv] > bestBytes {
-			best, bestBytes = i, bytesAt[sv]
+	for i := range objs {
+		var b int64
+		for j, ob := range objs {
+			if homes[j] == homes[i] {
+				b += max(ob.size, 1)
+			}
+		}
+		if b > bestBytes {
+			best, bestBytes = i, b
 		}
 	}
 	return best

@@ -16,6 +16,7 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/coolrts/cool/internal/machine"
 )
@@ -37,6 +38,9 @@ type Space struct {
 	// so offsets are dense and a flat table beats a map on the home
 	// lookup that placement performs per spawned task.
 	pageProc [][]int32
+	// pub mirrors pageProc for lock-free readers once Publish has been
+	// called (the native backend); nil on the simulator.
+	pub *Homes
 }
 
 // New creates an address space for the given machine.
@@ -73,6 +77,9 @@ func (s *Space) Reset() {
 			t[i] = -1
 		}
 		s.pageProc[c] = t
+	}
+	if s.pub != nil {
+		s.pub.clear()
 	}
 }
 
@@ -153,6 +160,9 @@ func (s *Space) recordPages(addr, size int64, proc int, overwrite bool) {
 		}
 		t[pg] = int32(proc)
 	}
+	if s.pub != nil {
+		s.pub.store(c, t, first, last)
+	}
 }
 
 // Migrate re-homes every page spanned by [addr, addr+size) to processor
@@ -195,4 +205,80 @@ func (s *Space) arenaCluster(addr int64) int {
 		panic(fmt.Sprintf("memsim: address %#x outside any arena", addr))
 	}
 	return c
+}
+
+// Homes is a read view of a Space's page homes that concurrent readers
+// consult without a lock (the native backend's placement path). Each
+// cluster's table sits behind an atomic pointer that is replaced only
+// when the table grows; its entries are atomics updated in place. The
+// Space writes through it inside every Alloc, AllocPages, Migrate and
+// Reset — all made under the caller's writer lock — before returning,
+// so a lookup that starts after a write returned sees that write. A
+// lookup racing a write reads the page's old home or its new one;
+// either is a valid placement hint.
+type Homes struct {
+	s    *Space // read only for its immutable geometry fields
+	tabs []atomic.Pointer[[]atomic.Int32]
+}
+
+// Publish returns the space's lock-free home view, creating it on the
+// first call with the homes recorded so far. The caller must hold the
+// space's writer lock (or own the space exclusively).
+func (s *Space) Publish() *Homes {
+	if s.pub == nil {
+		h := &Homes{s: s, tabs: make([]atomic.Pointer[[]atomic.Int32], s.clusters)}
+		for c, t := range s.pageProc {
+			if len(t) > 0 {
+				h.store(c, t, 0, int64(len(t)-1))
+			}
+		}
+		s.pub = h
+	}
+	return s.pub
+}
+
+// store publishes entries [first, last] of cluster c's page table t.
+// A table too short for last is replaced by a copy of t sized to its
+// capacity, so growth is amortised like t's own.
+func (h *Homes) store(c int, t []int32, first, last int64) {
+	p := h.tabs[c].Load()
+	if p == nil || int64(len(*p)) <= last {
+		n := make([]atomic.Int32, cap(t))
+		for i := range n {
+			v := int32(-1)
+			if i < len(t) {
+				v = t[i]
+			}
+			n[i].Store(v)
+		}
+		h.tabs[c].Store(&n)
+		return
+	}
+	for pg := first; pg <= last; pg++ {
+		(*p)[pg].Store(t[pg])
+	}
+}
+
+// clear forgets every published home (Space.Reset).
+func (h *Homes) clear() {
+	for c := range h.tabs {
+		if p := h.tabs[c].Load(); p != nil {
+			for i := range *p {
+				(*p)[i].Store(-1)
+			}
+		}
+	}
+}
+
+// HomeProc is Space.HomeProc without a lock: it returns the processor
+// that homes the page containing addr, and panics on an address outside
+// every arena.
+func (h *Homes) HomeProc(addr int64) int {
+	c, off := h.s.pageOffset(addr)
+	if p := h.tabs[c].Load(); p != nil && off < int64(len(*p)) {
+		if v := (*p)[off].Load(); v >= 0 {
+			return int(v)
+		}
+	}
+	return c * h.s.clusterSize
 }

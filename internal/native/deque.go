@@ -50,8 +50,8 @@ func newDequeBuf(capacity int64) *dequeBuf {
 	return &dequeBuf{mask: capacity - 1, s: make([]atomic.Pointer[task], capacity)}
 }
 
-func (b *dequeBuf) get(i int64) *task     { return b.s[i&b.mask].Load() }
-func (b *dequeBuf) put(i int64, t *task)  { b.s[i&b.mask].Store(t) }
+func (b *dequeBuf) get(i int64) *task    { return b.s[i&b.mask].Load() }
+func (b *dequeBuf) put(i int64, t *task) { b.s[i&b.mask].Store(t) }
 
 // chaseLev is the per-worker work-stealing deque. The live window is
 // [top, bottom); top only grows (steals and FIFO owner takes), bottom is

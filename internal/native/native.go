@@ -229,7 +229,8 @@ type worker struct {
 	// non-backlogged victim.
 	stealable atomic.Int64
 
-	// setScratch batches the members of a set being moved by stealSet,
+	// setScratch batches the members of a set (stealSet) or of an
+	// object-bound run (stealLockedReluctant) being moved to this worker,
 	// reused across steals to keep the move allocation-free.
 	setScratch []*task
 
@@ -322,6 +323,7 @@ type Runtime struct {
 
 	clusterOnly atomic.Bool // dynamic cluster-stealing flag
 	setSplits   atomic.Int64
+	runSteals   atomic.Int64 // steals that moved an object-bound run along with its head
 
 	failMu sync.Mutex
 	fail   error
@@ -1811,6 +1813,9 @@ func (rt *Runtime) stealFrom(v, w *worker) *task {
 // backlogged, object-bound only under StealObjectBound). Without this,
 // object-bound-heavy workloads starve thieves into a failed-steal storm
 // whenever the work sits in inboxes the owners haven't drained yet.
+// An object-bound record is taken in bulk, like a slot head (see
+// stealLockedReluctant): the records that arrived right after it and
+// name the same object come along, up to half of v's queue.
 func (rt *Runtime) stealInbox(v, w *worker) *task {
 	if v.inbox.empty() {
 		return nil
@@ -1824,6 +1829,7 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 		buf = append(buf, t)
 	}
 	var taken *task
+	run := w.setScratch[:0]
 	for i := len(buf) - 1; i >= 0; i-- { // chain is newest-first; oldest plain wins
 		if buf[i].class == core.ClassPlain {
 			taken = buf[i]
@@ -1831,12 +1837,20 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 			break
 		}
 	}
-	if taken == nil && v.queued.Load() >= 2 {
+	if q := v.queued.Load(); taken == nil && q >= 2 {
 		for i := len(buf) - 1; i >= 0; i-- { // oldest permitted structured record
 			c := buf[i].class
 			if c == core.ClassProcessor || (c == core.ClassObjectBound && rt.pol.StealObjectBound) {
 				taken = buf[i]
-				buf = append(buf[:i], buf[i+1:]...)
+				lo := i
+				for limit := int(q/2) - 1; c == core.ClassObjectBound && lo > 0 && len(run) < limit; lo-- {
+					r := buf[lo-1]
+					if r.class != core.ClassObjectBound || r.affObj != taken.affObj {
+						break
+					}
+					run = append(run, r)
+				}
+				buf = append(buf[:lo], buf[i+1:]...)
 				break
 			}
 		}
@@ -1862,6 +1876,12 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 	taken.next = nil
 	rt.noteDequeued(v, 1)
 	rt.noteRemoved(v, taken)
+	if n := int64(len(run)); n > 0 {
+		v.queued.Add(-n)
+		rt.adoptObjectRun(w, taken.slot, run)
+		rt.runSteals.Add(1)
+	}
+	w.setScratch = run[:0]
 	return taken
 }
 
@@ -1871,6 +1891,12 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 // allow it, and a lone set member only when whole-set stealing is off
 // (a deliberate, counted split). The lock-free gate rejects the common
 // nothing-reluctantly-stealable case without touching v's mutex.
+//
+// An object-bound head is taken in bulk (takeObjectRun): the thief
+// also moves the run's next members naming the same object, up to half
+// of v's queue, and runs them back to back from its own matching slot.
+// The members are detached under v's lock and queued at w under w's own
+// lock after v's is released, so the move never holds two worker locks.
 func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 	if v.lockedWork.Load() == 0 {
 		return nil
@@ -1879,10 +1905,10 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 		return nil
 	}
 	rt.lockWorker(v, w.id)
-	defer v.mu.Unlock()
 	if t := v.pinned.head; t != nil && v.queued.Load() >= 2 {
 		v.pinned.remove(t)
 		rt.noteLockedTaken(v, t)
+		v.mu.Unlock()
 		return t
 	}
 	for q := v.nonEmpty.head; q != nil; q = q.nextQ {
@@ -1890,8 +1916,18 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 		if head == nil {
 			continue
 		}
-		if head.class == core.ClassObjectBound && (!rt.pol.StealObjectBound || v.queued.Load() < 2) {
-			continue
+		if head.class == core.ClassObjectBound {
+			if !rt.pol.StealObjectBound || v.queued.Load() < 2 {
+				continue
+			}
+			run := rt.takeObjectRun(v, q, w.setScratch[:0])
+			v.mu.Unlock()
+			if len(run) > 0 {
+				rt.adoptObjectRun(w, head.slot, run)
+				rt.runSteals.Add(1)
+			}
+			w.setScratch = run[:0]
+			return head
 		}
 		if head.class == core.ClassTaskSet {
 			if rt.pol.StealWholeSets {
@@ -1903,9 +1939,61 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 		q.remove(head)
 		rt.afterSlotPop(v, q)
 		rt.noteLockedTaken(v, head)
+		v.mu.Unlock()
 		return head
 	}
+	v.mu.Unlock()
 	return nil
+}
+
+// takeObjectRun removes the object-bound head of v's slot queue q for a
+// thief, together with the members that directly follow it while they
+// are object-bound and name the head's object, so that head plus run
+// is at most half of v's queued tasks: the victim always keeps at least
+// half its queue, and set members and pinned tasks are never moved. The
+// head is accounted as one removed task; the run leaves v's counts but
+// not queuedTotal, since adoptObjectRun queues it again at the thief.
+// Returns the run (appended to buf). Called with v.mu held, deque mode.
+func (rt *Runtime) takeObjectRun(v *worker, q *taskQueue, buf []*task) []*task {
+	head := q.head
+	limit := int(v.queued.Load()/2) - 1
+	for t := head.next; t != nil && len(buf) < limit; {
+		if t.class != core.ClassObjectBound || t.affObj != head.affObj {
+			break
+		}
+		next := t.next
+		q.remove(t)
+		buf = append(buf, t)
+		t = next
+	}
+	q.remove(head)
+	rt.afterSlotPop(v, q)
+	rt.noteLockedTaken(v, head)
+	if n := int64(len(buf)); n > 0 {
+		v.lockedWork.Add(-n)
+		v.queued.Add(-n)
+	}
+	return buf
+}
+
+// adoptObjectRun queues a run detached by takeObjectRun in thief w's
+// slot and makes that slot w's current one, so the run executes back to
+// back there, keeping its task affinity. The members keep their home
+// server, so each still counts as run away from home; the move as a
+// whole counts as the one steal that took its head.
+func (rt *Runtime) adoptObjectRun(w *worker, slot int, run []*task) {
+	rt.lockWorker(w, w.id)
+	q := &w.slots[slot]
+	for i, t := range run {
+		q.push(t)
+		run[i] = nil
+	}
+	w.nonEmpty.add(q)
+	w.cur = q
+	n := int64(len(run))
+	w.lockedWork.Add(n)
+	w.queued.Add(n)
+	w.mu.Unlock()
 }
 
 // stealFromMutex is the mutex-mode steal probe.

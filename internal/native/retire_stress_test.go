@@ -22,7 +22,9 @@ import (
 // stealable hint as a nonzero counter on a drained worker. The deque
 // arm additionally exercises the retirement drain through the
 // Chase-Lev deque (popBottom) and inbox (swapAll) paths; the mutex arm
-// keeps covering the PR 6 locked drain.
+// keeps covering the PR 6 locked drain. Each spawner also queues a run
+// of tasks naming one hot object, so thieves move object-bound runs in
+// bulk while workers retire; the deque arm asserts that they did.
 func TestRetireStress(t *testing.T) {
 	t.Run("deque", func(t *testing.T) { retireStress(t, nil) })
 	t.Run("mutex", func(t *testing.T) { retireStress(t, mutexMode) })
@@ -30,6 +32,7 @@ func TestRetireStress(t *testing.T) {
 
 func retireStress(t *testing.T, mode func(*Config)) {
 	const procs = 12 // three clusters of four
+	var runSteals int64
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		nFails := 1 + rng.Intn(3)
@@ -52,6 +55,7 @@ func retireStress(t *testing.T, mode func(*Config)) {
 
 		const spawners = 16
 		const perSpawner = 100
+		const hotRun = 25 // leaves per spawner naming its hot object
 		affs := make([][]core.Affinity, spawners)
 		for i := range affs {
 			affs[i] = make([]core.Affinity, perSpawner)
@@ -70,20 +74,26 @@ func retireStress(t *testing.T, mode func(*Config)) {
 				}
 			}
 		}
-		var ran [spawners * perSpawner]int32
+		var ran [spawners * (perSpawner + hotRun)]int32
 		err := rt.Run(func(c *Ctx) {
 			c.WaitFor(func() {
 				for i := 0; i < spawners; i++ {
 					i := i
 					c.Spawn("spawner", core.Affinity{Kind: core.AffProcessor, Processor: i % procs}, nil, func(c *Ctx) {
-						for j, a := range affs[i] {
-							k := i*perSpawner + j
-							c.Spawn("leaf", a, nil, func(*Ctx) {
+						leaf := func(k int) func(*Ctx) {
+							return func(*Ctx) {
 								atomic.AddInt32(&ran[k], 1)
 								// Keep the run in the milliseconds so the
 								// plan's Fail times land mid-flight.
 								time.Sleep(10 * time.Microsecond)
-							})
+							}
+						}
+						for j, a := range affs[i] {
+							c.Spawn("leaf", a, nil, leaf(i*perSpawner+j))
+						}
+						hot := core.Affinity{Kind: core.AffObject, ObjectObj: int64(1 + i%procs*4096)}
+						for j := 0; j < hotRun; j++ {
+							c.Spawn("hot", hot, nil, leaf(spawners*perSpawner+i*hotRun+j))
 						}
 					})
 				}
@@ -106,12 +116,13 @@ func retireStress(t *testing.T, mode func(*Config)) {
 			}
 		}
 		total := mon.Total()
-		if want := int64(1 + spawners + spawners*perSpawner); total.TasksRun != want {
+		if want := int64(1 + spawners + len(ran)); total.TasksRun != want {
 			t.Fatalf("seed %d: TasksRun=%d want %d", seed, total.TasksRun, want)
 		}
 		if rt.SetSplits() != 0 {
 			t.Fatalf("seed %d: SetSplits=%d want 0", seed, rt.SetSplits())
 		}
+		runSteals += rt.runSteals.Load()
 		if rt.QueuedTasks() != 0 {
 			t.Fatalf("seed %d: %d tasks still queued", seed, rt.QueuedTasks())
 		}
@@ -130,5 +141,9 @@ func retireStress(t *testing.T, mode func(*Config)) {
 				t.Fatalf("seed %d: task records stranded on retired worker %d", seed, v)
 			}
 		}
+	}
+	t.Logf("bulk object-bound steals over all seeds: %d", runSteals)
+	if mode == nil && runSteals == 0 {
+		t.Fatal("no bulk object-bound steal happened in any seed")
 	}
 }
