@@ -272,9 +272,15 @@ func (h *Homes) clear() {
 
 // HomeProc is Space.HomeProc without a lock: it returns the processor
 // that homes the page containing addr, and panics on an address outside
-// every arena.
+// every arena. It inlines pageOffset's arithmetic (an arena starts on a
+// multiple of 1<<arenaShift, so the page offset within it is a mask and
+// a shift) because every native object-affinity spawn calls it.
 func (h *Homes) HomeProc(addr int64) int {
-	c, off := h.s.pageOffset(addr)
+	c := int(addr>>arenaShift) - 1
+	if uint(c) >= uint(len(h.tabs)) {
+		h.s.arenaCluster(addr) // panics: outside every arena
+	}
+	off := (addr & (1<<arenaShift - 1)) >> (h.s.pageShift & 63)
 	if p := h.tabs[c].Load(); p != nil && off < int64(len(*p)) {
 		if v := (*p)[off].Load(); v >= 0 {
 			return int(v)

@@ -1876,12 +1876,10 @@ func (rt *Runtime) stealInbox(v, w *worker) *task {
 	taken.next = nil
 	rt.noteDequeued(v, 1)
 	rt.noteRemoved(v, taken)
-	if n := int64(len(run)); n > 0 {
-		v.queued.Add(-n)
-		rt.adoptObjectRun(w, taken.slot, run)
-		rt.runSteals.Add(1)
+	if n := len(run); n > 0 {
+		v.queued.Add(-int64(n))
 	}
-	w.setScratch = run[:0]
+	rt.adoptObjectRun(w, taken.slot, run)
 	return taken
 }
 
@@ -1922,11 +1920,7 @@ func (rt *Runtime) stealLockedReluctant(v, w *worker) *task {
 			}
 			run := rt.takeObjectRun(v, q, w.setScratch[:0])
 			v.mu.Unlock()
-			if len(run) > 0 {
-				rt.adoptObjectRun(w, head.slot, run)
-				rt.runSteals.Add(1)
-			}
-			w.setScratch = run[:0]
+			rt.adoptObjectRun(w, head.slot, run)
 			return head
 		}
 		if head.class == core.ClassTaskSet {
@@ -1976,12 +1970,18 @@ func (rt *Runtime) takeObjectRun(v *worker, q *taskQueue, buf []*task) []*task {
 	return buf
 }
 
-// adoptObjectRun queues a run detached by takeObjectRun in thief w's
-// slot and makes that slot w's current one, so the run executes back to
-// back there, keeping its task affinity. The members keep their home
-// server, so each still counts as run away from home; the move as a
-// whole counts as the one steal that took its head.
+// adoptObjectRun queues a run detached by takeObjectRun or stealInbox
+// in thief w's slot and makes that slot w's current one, so the run
+// executes back to back there, keeping its task affinity. The members
+// keep their home server, so each still counts as run away from home;
+// the move as a whole counts as the one steal that took its head. run
+// is w.setScratch's backing array, handed back for the next move.
 func (rt *Runtime) adoptObjectRun(w *worker, slot int, run []*task) {
+	w.setScratch = run[:0]
+	if len(run) == 0 {
+		return
+	}
+	rt.runSteals.Add(1)
 	rt.lockWorker(w, w.id)
 	q := &w.slots[slot]
 	for i, t := range run {
