@@ -264,10 +264,13 @@ func TestFaultCountersThroughReportNative(t *testing.T) {
 // stealing is off so no thief empties its queue first, and the first
 // task holds the victim until every task is queued behind it and the
 // failure time has passed: the fault fires at the victim's next
-// dispatch, with the other tasks still queued.
+// dispatch, with the other tasks still queued. The one timing
+// assumption left is that the victim starts its first task before the
+// failure time; that is set 100 ms into the run, far beyond the time
+// it takes to start, even on a loaded host under -race.
 func TestRedistributedCounterThroughReportNative(t *testing.T) {
 	const tasks = 80
-	const failAt = 1_000_000 // ns
+	const failAt = 100_000_000 // ns
 	rt, err := cool.NewRuntime(cool.Config{
 		Processors: 4,
 		Backend:    cool.BackendNative,

@@ -200,13 +200,7 @@ func (rt *Runtime) drainLocked(ids []int) error {
 		}
 		req[id] = true
 	}
-	pending := 0
-	for id, w := range rt.workers {
-		if !rt.isDead(id) && w.drainReq.Load() != 0 {
-			pending++
-		}
-	}
-	if rt.aliveWorkers()-pending-len(ids) < 1 {
+	if rt.undrainedWorkers()-len(ids) < 1 {
 		return fmt.Errorf("native: Drain of %d worker(s) would leave the pool empty", len(ids))
 	}
 	now := rt.nowNS()
@@ -218,6 +212,21 @@ func (rt *Runtime) drainLocked(ids []int) error {
 		rt.wakeWorker(id) // a parked victim must notice the request
 	}
 	return nil
+}
+
+// undrainedWorkers counts the alive workers that have no drain request
+// pending: the pool size once every requested drain has retired. One
+// snapshot of the dead mask keeps a worker that retires meanwhile from
+// being counted as alive and not as draining.
+func (rt *Runtime) undrainedWorkers() int {
+	dead := rt.dead.Load()
+	n := 0
+	for id, w := range rt.workers {
+		if dead&(1<<uint(id)) == 0 && w.drainReq.Load() == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // drainRequested is the per-iteration check in the worker loop: a
@@ -293,7 +302,10 @@ func (rt *Runtime) autoscaler() {
 			return
 		case <-tick.C:
 		}
-		alive := rt.aliveWorkers()
+		// Workers already asked to drain do not count: a drain takes
+		// effect only at the victim's next dispatch, and counting them
+		// let consecutive ticks drain the pool below Min.
+		alive := rt.undrainedWorkers()
 		if alive == 0 {
 			continue
 		}

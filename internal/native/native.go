@@ -230,8 +230,8 @@ type worker struct {
 	stealable atomic.Int64
 
 	// setScratch batches the members of a set (stealSet) or of an
-	// object-bound run (stealLockedReluctant) being moved to this worker,
-	// reused across steals to keep the move allocation-free.
+	// object-bound run (stealLockedReluctant, stealInbox) being moved to
+	// this worker, reused across steals to keep the move allocation-free.
 	setScratch []*task
 
 	// free is the worker's task-record freelist (linked through t.next),
