@@ -14,10 +14,11 @@ import (
 // run whole simulated apps instead.
 
 // BenchmarkHomeLookup times Ctx.Home called from a task on every worker
-// at once (P = the host's CPU count, at least 2) over 64 pages homed
-// round robin. ns/op is wall time per lookup across all workers.
+// at once (P = the host's CPU count, clamped to [2, 64], the native
+// worker limit) over 64 pages homed round robin. ns/op is wall time per
+// lookup across all workers.
 func BenchmarkHomeLookup(b *testing.B) {
-	procs := max(runtime.NumCPU(), 2)
+	procs := min(max(runtime.NumCPU(), 2), 64)
 	rt, err := cool.NewRuntime(cool.Config{Processors: procs, Backend: cool.BackendNative})
 	if err != nil {
 		b.Fatal(err)
