@@ -1,8 +1,12 @@
 package cool_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	cool "github.com/coolrts/cool"
 )
@@ -81,5 +85,39 @@ func TestNativeHomeWritesVisibleToNextPlacement(t *testing.T) {
 	}
 	if n := wrong.Load(); n != 0 {
 		t.Fatal("placement after Reset used the address's home from before Reset")
+	}
+}
+
+// TestNativeHomeOutsideSpaceFailsRun: the lock-free lookup still panics
+// on an address outside every arena, and the run fails with a typed
+// task error naming it instead of hanging — whether the address reaches
+// the lookup through ObjectAffinity placement or through Ctx.Home.
+func TestNativeHomeOutsideSpaceFailsRun(t *testing.T) {
+	for name, job := range map[string]func(*cool.Ctx){
+		"placement": func(ctx *cool.Ctx) {
+			ctx.WaitFor(func() {
+				ctx.Spawn("bad", func(*cool.Ctx) {}, cool.ObjectAffinity(8))
+			})
+		},
+		"Ctx.Home": func(ctx *cool.Ctx) { ctx.Home(8) },
+	} {
+		rt, err := cool.NewRuntime(cool.Config{Processors: 2, Backend: cool.BackendNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- rt.Run(job) }()
+		select {
+		case err = <-errc:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run hung after the lookup panicked", name)
+		}
+		var tp *cool.TaskPanicError
+		if !errors.As(err, &tp) {
+			t.Fatalf("%s: Run returned %v, want a *TaskPanicError", name, err)
+		}
+		if !strings.Contains(fmt.Sprint(tp.Value), "outside any arena") {
+			t.Fatalf("%s: panic value %v does not name the bad address", name, tp.Value)
+		}
 	}
 }
