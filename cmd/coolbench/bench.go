@@ -4,8 +4,10 @@
 // simulated MaxClock, and emit machine-readable JSON so every PR lands
 // against a measured trajectory.
 //
-//	coolbench -bench-json BENCH_PR2.json            write measurements
-//	coolbench -bench-json out.json -bench-small     small sizes (CI smoke)
+//	coolbench -bench-json out.json                  write measurements
+//	coolbench -bench-json BENCH_SMOKE.json -bench-small
+//	                                                small sizes: the
+//	                                                baseline CI gates on
 //	coolbench -bench-json out.json -bench-baseline old.json
 //	                                                embed old.json and
 //	                                                improvement ratios

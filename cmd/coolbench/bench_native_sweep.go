@@ -10,16 +10,6 @@
 //	                                              small sizes (CI smoke)
 //	coolbench -bench-native -bench-native-procs 4,8,16
 //	                                              subset of worker counts
-//	coolbench -bench-native -bench-native-queue mutex
-//	                                              run on the pre-deque
-//	                                              mutex-queue scheduler
-//	                                              (A/B baseline arm)
-//	coolbench -bench-native-ab -bench-native-procs 8,16
-//	                                              interleaved A/B: each
-//	                                              rep runs the deque and
-//	                                              mutex arms back to
-//	                                              back, reporting the
-//	                                              per-app wall ratio
 //	coolbench -bench-native-check BENCH_NATIVE.json
 //	                                              rerun the baseline's
 //	                                              config and fail on a
@@ -74,7 +64,6 @@ type nativeDoc struct {
 	NumCPU    int           `json:"num_cpu"`
 	Reps      int           `json:"reps"`
 	Small     bool          `json:"small"`
-	Queue     string        `json:"queue,omitempty"` // "deque" (default) or "mutex"
 	Procs     []int         `json:"procs"`
 	Results   []nativeEntry `json:"results"`
 }
@@ -114,8 +103,6 @@ func benchNativeMain(args []string) int {
 	small := fs.Bool("bench-native-small", false, "use reduced workload sizes (CI smoke)")
 	reps := fs.Int("bench-native-reps", 3, "repetitions per cell (best wall-clock wins)")
 	appsFlag := fs.String("bench-native-apps", "", "comma-separated app subset (default: all registered)")
-	queue := fs.String("bench-native-queue", "deque", "worker queue implementation: deque (Chase-Lev) or mutex (PR 5 locked queue, the A/B baseline)")
-	ab := fs.Bool("bench-native-ab", false, "interleaved A/B mode: run the deque and mutex arms back to back each rep and report per-app wall ratios")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	mutexProf := fs.String("mutexprofile", "", "write a mutex-contention profile of the sweep to this file")
 	if err := fs.Parse(args); err != nil {
@@ -134,10 +121,6 @@ func benchNativeMain(args []string) int {
 	if *check != "" {
 		return benchNativeCheck(*check)
 	}
-	if *queue != "deque" && *queue != "mutex" {
-		fmt.Fprintf(os.Stderr, "coolbench: -bench-native-queue must be deque or mutex, got %q\n", *queue)
-		return 2
-	}
 	var procs []int
 	for _, f := range strings.Split(*procsFlag, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -153,14 +136,11 @@ func benchNativeMain(args []string) int {
 			names = append(names, strings.TrimSpace(n))
 		}
 	}
-	if *ab {
-		return benchNativeAB(procs, names, *small, *reps)
-	}
 	if *jsonOut == "" {
 		fmt.Fprintln(os.Stderr, "coolbench: -bench-native-json or -bench-native-check required in native bench mode")
 		return 2
 	}
-	doc, err := benchNativeRun(procs, names, *small, *reps, *queue)
+	doc, err := benchNativeRun(procs, names, *small, *reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
 		return 1
@@ -181,9 +161,8 @@ func benchNativeMain(args []string) int {
 
 // benchNativeRun measures every (app, P) cell on the native backend,
 // using each app's most locality-optimised variant (the same reference
-// choice as the simulator bench harness). queue selects the worker
-// queue implementation ("deque" or "mutex").
-func benchNativeRun(procs []int, names []string, small bool, reps int, queue string) (*nativeDoc, error) {
+// choice as the simulator bench harness).
+func benchNativeRun(procs []int, names []string, small bool, reps int) (*nativeDoc, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -196,7 +175,6 @@ func benchNativeRun(procs []int, names []string, small bool, reps int, queue str
 		NumCPU:    runtime.NumCPU(),
 		Reps:      reps,
 		Small:     small,
-		Queue:     queue,
 		Procs:     procs,
 	}
 	for _, name := range names {
@@ -221,7 +199,6 @@ func benchNativeRun(procs []int, names []string, small bool, reps int, queue str
 				cfg := cool.Config{
 					Processors: p,
 					Backend:    cool.BackendNative,
-					Sched:      cool.SchedPolicy{MutexQueue: queue == "mutex"},
 				}
 				res, err := app.RunCfg(cfg, variant, size)
 				if err != nil {
@@ -268,88 +245,6 @@ func benchNativeRun(procs []int, names []string, small bool, reps int, queue str
 	return doc, nil
 }
 
-// benchNativeAB is the interleaved deque-vs-mutex comparison: for every
-// (app, P) cell it alternates the two queue arms within each repetition
-// — deque, mutex, mutex, deque, ... — so drift in machine load lands on
-// both arms symmetrically rather than biasing whichever ran last. Best
-// wall-clock per arm wins (same policy as the sweep), and the summary
-// reports the per-app ratio of mutex wall to deque wall summed over P:
-// the factor the Chase-Lev deque, inbox, and batched publish/wake paths
-// buy over the PR 5 locked queue (the per-worker freelists and the
-// wake-accounting fixes are present in both arms).
-func benchNativeAB(procs []int, names []string, small bool, reps int) int {
-	if reps < 1 {
-		reps = 1
-	}
-	if len(names) == 0 {
-		names = apps.Names()
-	}
-	type armWall struct{ deque, mutex int64 }
-	perApp := make(map[string]*armWall, len(names))
-	for _, name := range names {
-		app, ok := apps.Lookup(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "coolbench: unknown app %q (have %v)\n", name, apps.Names())
-			return 1
-		}
-		variant := app.Variants[len(app.Variants)-1]
-		size := nativeFullSizes[name]
-		if small {
-			size = nativeSmallSizes[name]
-		}
-		perApp[name] = &armWall{}
-		for _, p := range procs {
-			var best armWall
-			for rep := 0; rep < reps; rep++ {
-				arms := []bool{false, true} // false = deque
-				if rep%2 == 1 {
-					arms[0], arms[1] = arms[1], arms[0]
-				}
-				for _, mutex := range arms {
-					cfg := cool.Config{
-						Processors: p,
-						Backend:    cool.BackendNative,
-						Sched:      cool.SchedPolicy{MutexQueue: mutex},
-					}
-					res, err := app.RunCfg(cfg, variant, size)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "coolbench: %s/%s/P%d (mutex=%v): %v\n",
-							name, variant, p, mutex, err)
-						return 1
-					}
-					if mutex {
-						if best.mutex == 0 || res.Cycles < best.mutex {
-							best.mutex = res.Cycles
-						}
-					} else if best.deque == 0 || res.Cycles < best.deque {
-						best.deque = res.Cycles
-					}
-				}
-			}
-			ratio := 0.0
-			if best.deque > 0 {
-				ratio = float64(best.mutex) / float64(best.deque)
-			}
-			fmt.Printf("%-28s deque=%-12s mutex=%-12s mutex/deque=x%.2f\n",
-				fmt.Sprintf("%s/%s/P%d", name, variant, p),
-				time.Duration(best.deque), time.Duration(best.mutex), ratio)
-			perApp[name].deque += best.deque
-			perApp[name].mutex += best.mutex
-		}
-	}
-	fmt.Println("--- per-app totals (summed over P) ---")
-	for _, name := range names {
-		w := perApp[name]
-		ratio := 0.0
-		if w.deque > 0 {
-			ratio = float64(w.mutex) / float64(w.deque)
-		}
-		fmt.Printf("%-12s deque=%-12s mutex=%-12s speedup=x%.2f\n",
-			name, time.Duration(w.deque), time.Duration(w.mutex), ratio)
-	}
-	return 0
-}
-
 // benchNativeLoad reads a nativeDoc from disk.
 func benchNativeLoad(path string) (*nativeDoc, error) {
 	raw, err := os.ReadFile(path)
@@ -373,11 +268,7 @@ func benchNativeCheck(path string) int {
 		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
 		return 1
 	}
-	queue := base.Queue
-	if queue == "" {
-		queue = "deque" // baselines predating the A/B arm measured the default
-	}
-	doc, err := benchNativeRun(base.Procs, nil, base.Small, base.Reps, queue)
+	doc, err := benchNativeRun(base.Procs, nil, base.Small, base.Reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "coolbench: %v\n", err)
 		return 1

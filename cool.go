@@ -85,7 +85,11 @@ func (b Backend) String() string {
 // SchedPolicy exposes the scheduling knobs studied in the paper. The zero
 // value is the runtime's default policy (hints honoured, 64 task-affinity
 // queues per server, whole-set stealing, cluster-first victim order,
-// object-bound tasks stolen only as a last resort).
+// object-bound tasks stolen only as a last resort). Every field means the
+// same on both backends. The native backend has one queue shape per
+// worker: the task-affinity queues and pinned queue under the worker's
+// lock, plain tasks on a lock-free Chase-Lev deque, and cross-worker
+// inserts through a lock-free inbox (DESIGN.md §10).
 type SchedPolicy struct {
 	// IgnoreHints reproduces the paper's "Base" program versions:
 	// round-robin task placement with no locality.
@@ -108,13 +112,6 @@ type SchedPolicy struct {
 	// PlaceSetsLeastLoaded places new task-affinity sets on the
 	// least-loaded server instead of round-robin (§4.2).
 	PlaceSetsLeastLoaded bool
-	// MutexQueue (native backend only) selects the pre-deque scheduler:
-	// per-worker queues fully under the worker's mutex, spawns inserted
-	// and woken one at a time. It exists as the in-tree A/B baseline
-	// against the default lock-free Chase-Lev deque scheduler (coolbench
-	// -bench-native-queue=mutex); the simulator has no such split and
-	// ignores the flag.
-	MutexQueue bool
 }
 
 // Config describes the simulated machine and runtime policy.
@@ -488,7 +485,6 @@ func newNativeRuntime(c Config, mc machine.Config, pol core.Policy) (*Runtime, e
 		InvokeN: func(nc *native.Ctx, p any, i int) {
 			p.(func(*Ctx, int))(rt.nativeCtx(nc), i)
 		},
-		MutexQueue:    c.Sched.MutexQueue,
 		TraceCapacity: c.TraceCapacity,
 		Faults:        plan,
 		Retry:         retry,

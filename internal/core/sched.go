@@ -425,7 +425,7 @@ func (s *Scheduler) Dispatch(p *sim.Proc) *sim.Task {
 	}
 	lat := s.Cfg.Lat
 
-	if td := s.takeLocal(sv); td != nil {
+	if td := s.popLocal(sv); td != nil {
 		p.Clock += lat.Dispatch
 		if s.launchAborted(td, p) {
 			return nil
@@ -442,8 +442,8 @@ func (s *Scheduler) Dispatch(p *sim.Proc) *sim.Task {
 	return nil
 }
 
-// takeLocal removes the next task from sv's own queues.
-func (s *Scheduler) takeLocal(sv *server) *TaskDesc {
+// popLocal removes the next task from sv's own queues.
+func (s *Scheduler) popLocal(sv *server) *TaskDesc {
 	if td := sv.resume.pop(); td != nil {
 		s.noteDequeued(sv, 1)
 		return td

@@ -40,16 +40,22 @@ func elasticRuntime(t *testing.T, procs, maxProcs int, mut func(*Config)) (*Runt
 }
 
 // waitPoolSize blocks until the alive-worker count reaches want —
-// drains complete asynchronously on the victims' own goroutines.
-func waitPoolSize(t *testing.T, rt *Runtime, want int) {
+// drains complete asynchronously on the victims' own goroutines. It runs
+// inside task bodies, so it reports with t.Errorf and returns false
+// rather than calling t.Fatalf: Fatalf's runtime.Goexit would end the
+// worker goroutine mid-task and leave Run waiting forever. Callers
+// return from the task body on false.
+func waitPoolSize(t *testing.T, rt *Runtime, want int) bool {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for rt.PoolSize() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool size stuck at %d, want %d", rt.PoolSize(), want)
+			t.Errorf("pool size stuck at %d, want %d", rt.PoolSize(), want)
+			return false
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
+	return true
 }
 
 // waitGoroutines polls until the process goroutine count settles back
@@ -76,14 +82,13 @@ func waitGoroutines(t *testing.T, label string, base int) {
 // drains back to 4 — with zero task loss, zero set splits, exactly-once
 // execution, and the full add/drain timeline in PoolEvents.
 func TestElasticScaleUpDown(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { elasticScaleUpDown(t, nil) })
-	t.Run("mutex", func(t *testing.T) { elasticScaleUpDown(t, mutexMode) })
+	t.Run("deque", elasticScaleUpDown)
 }
 
-func elasticScaleUpDown(t *testing.T, mode func(*Config)) {
+func elasticScaleUpDown(t *testing.T) {
 	const procs, maxProcs = 4, 16
 	const perBurst = 400
-	rt, mon := elasticRuntime(t, procs, maxProcs, mode)
+	rt, mon := elasticRuntime(t, procs, maxProcs, nil)
 	var ran [3 * perBurst]int32
 	pump := func(c *Ctx, burst int) {
 		c.WaitFor(func() {
@@ -119,7 +124,9 @@ func elasticScaleUpDown(t *testing.T, mode func(*Config)) {
 			t.Errorf("DrainN: %v", err)
 			return
 		}
-		waitPoolSize(t, rt, procs)
+		if !waitPoolSize(t, rt, procs) {
+			return
+		}
 		pump(c, 2) // back at the initial size
 	})
 	if err != nil {
@@ -177,11 +184,10 @@ func elasticScaleUpDown(t *testing.T, mode func(*Config)) {
 // zero SetSplits, empty queues, settled hints, and no leaked goroutines
 // are the invariants.
 func TestElasticChurnStress(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { elasticChurnStress(t, nil) })
-	t.Run("mutex", func(t *testing.T) { elasticChurnStress(t, mutexMode) })
+	t.Run("deque", elasticChurnStress)
 }
 
-func elasticChurnStress(t *testing.T, mode func(*Config)) {
+func elasticChurnStress(t *testing.T) {
 	const procs, maxProcs = 4, 12
 	const spawners = 12
 	const perSpawner = 120
@@ -193,9 +199,6 @@ func elasticChurnStress(t *testing.T, mode func(*Config)) {
 		rt, mon := elasticRuntime(t, procs, maxProcs, func(cfg *Config) {
 			cfg.Faults = p
 			cfg.InvokeN = func(c *Ctx, payload any, i int) { payload.(func(*Ctx, int))(c, i) }
-			if mode != nil {
-				mode(cfg)
-			}
 		})
 		affs := make([][]core.Affinity, spawners)
 		for i := range affs {
@@ -350,7 +353,9 @@ func TestElasticValidation(t *testing.T) {
 		if err := rt.Drain(0); err == nil {
 			t.Error("Drain leaving zero undrained workers succeeded")
 		}
-		waitPoolSize(t, rt, 1)
+		if !waitPoolSize(t, rt, 1) {
+			return
+		}
 		// The freed slot is a spare again: growth brings it back.
 		if ids, err := rt.AddWorkers(1); err != nil || len(ids) != 1 {
 			t.Errorf("AddWorkers after drain: ids=%v err=%v", ids, err)

@@ -103,109 +103,13 @@ func TestP1DispatchOrder(t *testing.T) {
 	}
 }
 
-// mutexMode pins a test runtime to the pre-deque mutex-queue scheduler
-// (the A/B baseline), whose structural tests below drive the locked
-// plain queue directly.
-func mutexMode(cfg *Config) { cfg.MutexQueue = true }
-
-// TestWholeSetStealMovesEverything drives stealFrom directly: a victim
-// holding a three-member task-affinity set plus a plain task must lose
-// the whole set in one steal, with the set re-homed to the thief.
-func TestWholeSetStealMovesEverything(t *testing.T) {
-	rt, mon := testRuntime(t, 2, mutexMode)
-	v, w := rt.workers[0], rt.workers[1]
-	const obj = int64(4096)
-	slot := rt.slotOf(obj)
-	rt.shardOf(obj).home[obj] = 0
-	for i := 0; i < 3; i++ {
-		st := rt.newTask(nil)
-		st.name, st.fn = "set", func(*Ctx) {}
-		st.class, st.server, st.slot, st.affObj = core.ClassTaskSet, 0, slot, obj
-		rt.insert(st, 0)
-	}
-	pl := rt.newTask(nil)
-	pl.name, pl.fn = "plain", func(*Ctx) {}
-	pl.class, pl.server = core.ClassPlain, 0
-	rt.insert(pl, 0)
-
-	got := rt.stealFrom(v, w)
-	if got == nil || got.affObj != obj {
-		t.Fatalf("stealFrom returned %+v, want head of set %d", got, obj)
-	}
-	if home := rt.setHomeOf(obj); home != 1 {
-		t.Fatalf("set home = %d after steal, want thief 1", home)
-	}
-	if n := w.slots[slot].size; n != 2 {
-		t.Fatalf("thief slot holds %d set members, want 2", n)
-	}
-	if w.cur != &w.slots[slot] {
-		t.Fatalf("thief cur not pointed at the stolen set's slot")
-	}
-	if v.slots[slot].size != 0 {
-		t.Fatalf("victim still holds %d set members: set split", v.slots[slot].size)
-	}
-	if mon.Per[1].SetSteals != 1 {
-		t.Fatalf("SetSteals=%d want 1", mon.Per[1].SetSteals)
-	}
-	if v.plain.size != 1 {
-		t.Fatalf("victim plain queue disturbed: size=%d want 1", v.plain.size)
-	}
-}
-
-// TestStealSkipsPinnedHead: a processor-affinity task at the head of the
-// plain queue must not be stolen while a free task sits behind it, and a
-// lone pinned task must not be stolen at all.
-func TestStealSkipsPinnedHead(t *testing.T) {
-	rt, _ := testRuntime(t, 2, mutexMode)
-	v, w := rt.workers[0], rt.workers[1]
-	pin := rt.newTask(nil)
-	pin.name, pin.fn = "pinned", func(*Ctx) {}
-	pin.class, pin.server = core.ClassProcessor, 0
-	rt.insert(pin, 0)
-	free := rt.newTask(nil)
-	free.name, free.fn = "free", func(*Ctx) {}
-	free.class, free.server = core.ClassPlain, 0
-	rt.insert(free, 0)
-
-	got := rt.stealFrom(v, w)
-	if got == nil || got.name != "free" {
-		t.Fatalf("stole %v, want the free task behind the pinned head", got)
-	}
-	// Now only the pinned task remains (queued=1): not stealable.
-	got = rt.stealFrom(v, w)
-	if got != nil {
-		t.Fatalf("stole lone pinned task %q", got.name)
-	}
-}
-
-// TestObjectBoundStolenOnlyFromBacklog: object-affinity tasks move only
-// when the victim has at least two queued tasks.
-func TestObjectBoundStolenOnlyFromBacklog(t *testing.T) {
-	rt, _ := testRuntime(t, 2, mutexMode)
-	v, w := rt.workers[0], rt.workers[1]
-	mk := func(addr int64) {
-		ob := rt.newTask(nil)
-		ob.name, ob.fn = "ob", func(*Ctx) {}
-		ob.class, ob.server, ob.slot, ob.affObj = core.ClassObjectBound, 0, rt.slotOf(addr), addr
-		rt.insert(ob, 0)
-	}
-	mk(64)
-	got := rt.stealFrom(v, w)
-	if got != nil {
-		t.Fatalf("stole object-bound task from a victim with queued=1")
-	}
-	mk(128)
-	got = rt.stealFrom(v, w)
-	if got == nil || got.class != core.ClassObjectBound {
-		t.Fatalf("want an object-bound steal from a backlogged victim, got %v", got)
-	}
-}
-
-// TestDequeWholeSetSteal is TestWholeSetStealMovesEverything for the
-// default deque scheduler: the whole set moves in one steal via the
-// sets-first phase, a plain task on the victim's deque is untouched by
-// it and then taken by a CAS-only plain steal, and the lock-free hints
-// (setQueued, stealable, queued) end with zero drift.
+// TestDequeWholeSetSteal drives stealFrom directly: a victim holding a
+// three-member task-affinity set plus a plain task loses the whole set
+// in one steal via the sets-first phase, with the set re-homed to the
+// thief and queued as its current slot; the plain task on the victim's
+// deque is untouched by it and then taken by a CAS-only plain steal, and
+// the lock-free hints (setQueued, stealable, queued) end with zero
+// drift.
 func TestDequeWholeSetSteal(t *testing.T) {
 	rt, mon := testRuntime(t, 2, nil)
 	v, w := rt.workers[0], rt.workers[1]
@@ -235,6 +139,9 @@ func TestDequeWholeSetSteal(t *testing.T) {
 	}
 	if n := w.slots[slot].size; n != 2 {
 		t.Fatalf("thief slot holds %d set members, want 2", n)
+	}
+	if w.cur != &w.slots[slot] {
+		t.Fatalf("thief cur not pointed at the stolen set's slot")
 	}
 	if v.slots[slot].size != 0 || v.setQueued.Load() != 0 || v.lockedWork.Load() != 0 {
 		t.Fatalf("victim kept set state: slot=%d setQueued=%d lockedWork=%d",

@@ -19,18 +19,16 @@ import (
 // concurrent placement and whole-set stealing: a task lost in the
 // retirement race shows up as a count mismatch, a split set as
 // SetSplits, a residual entry as a non-empty dead queue, and a stale
-// stealable hint as a nonzero counter on a drained worker. The deque
-// arm additionally exercises the retirement drain through the
-// Chase-Lev deque (popBottom) and inbox (swapAll) paths; the mutex arm
-// keeps covering the PR 6 locked drain. Each spawner also queues a run
-// of tasks naming one hot object, so thieves move object-bound runs in
-// bulk while workers retire; the deque arm asserts that they did.
+// stealable hint as a nonzero counter on a drained worker. The
+// retirement drain runs through the locked structures, the Chase-Lev
+// deque (popBottom), and the inbox (swapAll). Each spawner also queues a
+// run of tasks naming one hot object, so thieves move object-bound runs
+// in bulk while workers retire; the test asserts that they did.
 func TestRetireStress(t *testing.T) {
-	t.Run("deque", func(t *testing.T) { retireStress(t, nil) })
-	t.Run("mutex", func(t *testing.T) { retireStress(t, mutexMode) })
+	t.Run("deque", retireStress)
 }
 
-func retireStress(t *testing.T, mode func(*Config)) {
+func retireStress(t *testing.T) {
 	const procs = 12 // three clusters of four
 	var runSteals int64
 	for _, seed := range []int64{1, 2, 3} {
@@ -48,9 +46,6 @@ func retireStress(t *testing.T, mode func(*Config)) {
 		}
 		rt, mon := testRuntime(t, procs, func(cfg *Config) {
 			cfg.Faults = p
-			if mode != nil {
-				mode(cfg)
-			}
 		})
 
 		const spawners = 16
@@ -143,7 +138,7 @@ func retireStress(t *testing.T, mode func(*Config)) {
 		}
 	}
 	t.Logf("bulk object-bound steals over all seeds: %d", runSteals)
-	if mode == nil && runSteals == 0 {
+	if runSteals == 0 {
 		t.Fatal("no bulk object-bound steal happened in any seed")
 	}
 }
